@@ -80,7 +80,7 @@ failures = []
 t = doc["throughput"]
 
 if not doc["identity"]["byte_identical"]:
-    failures.append("report identity broken: lane/scalar/legacy reports "
+    failures.append("report identity broken: lane/scalar reports "
                     "diverged (hard invariant, see bench_campaign output)")
 
 floor_pct = base.get("max_regression_pct", 25)

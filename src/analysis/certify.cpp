@@ -11,6 +11,7 @@
 
 #include "campaign/minimize.hpp"
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 #include "common/rng.hpp"
 #include "cwsp/protection_sim.hpp"
 #include "cwsp/timing.hpp"
@@ -565,7 +566,6 @@ CertifyResult certify_design(
   result.states_complete = exhaustive && !space.overflowed;
 
   const std::size_t lanes = logic.lanes();
-  const std::size_t words = logic.words_per_net();
   std::vector<DangerSite*> active;
   active.reserve(danger.size());
   for (DangerSite& ds : danger) active.push_back(&ds);
@@ -843,7 +843,6 @@ std::string format_certify_text(const CertifyResult& result,
 
 std::string format_certify_json(const CertifyResult& result,
                                 const Netlist& netlist) {
-  using lint::json_escape;
   std::ostringstream os;
   os << "{\"schema\":\"cwsp-certify-report-v1\",";
   os << "\"design\":\"" << json_escape(result.design) << "\",";

@@ -239,21 +239,20 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
       break;
     }
   }
+  // The lane path answers batches of strikes at once, so per-strike
+  // wall-clock budgets and per-strike test hooks need the scalar pool.
+  const bool lane_path = options.use_lane_kernel &&
+                         options.timeout_ms <= 0.0 && !options.test_hook;
   // Non-CWSP verdicts and multi-node strikes exist only as closed-form
   // functions of lane facts; the scalar ProtectionSim speaks the CWSP
   // protocol over single-node strikes and nothing else.
-  const bool needs_scalar = options.use_legacy_kernel ||
-                            !options.use_lane_kernel ||
-                            options.timeout_ms > 0.0 ||
-                            static_cast<bool>(options.test_hook);
-  CWSP_REQUIRE_MSG(cwsp_semantics || !needs_scalar,
+  CWSP_REQUIRE_MSG(cwsp_semantics || lane_path,
                    "scheme '" << sch.name()
                               << "' resolves verdicts on the strike-lane "
-                                 "kernel only; drop --legacy-kernel and "
-                                 "per-strike timeouts");
-  CWSP_REQUIRE_MSG(!multi_node || !needs_scalar,
+                                 "kernel only; drop per-strike timeouts");
+  CWSP_REQUIRE_MSG(!multi_node || lane_path,
                    "multi-node strike plans require the strike-lane kernel; "
-                   "drop --legacy-kernel and per-strike timeouts");
+                   "drop per-strike timeouts");
   CWSP_REQUIRE_MSG(!options.minimize_escapes || cwsp_semantics,
                    "escape minimization replays the CWSP protocol; not "
                    "available for scheme '"
@@ -298,13 +297,6 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
                    options.resume);
   }
 
-  core::ProtectionSimOptions sim_options;
-  sim_options.use_compiled_kernel = !options.use_legacy_kernel;
-
-  // The lane path answers batches of strikes at once, so per-strike
-  // wall-clock budgets and per-strike test hooks need the scalar pool.
-  const bool lane_path = options.use_lane_kernel && !options.use_legacy_kernel &&
-                         options.timeout_ms <= 0.0 && !options.test_hook;
   if (lane_path) {
     run_lane_strikes(plan, options, done,
                      writer.has_value() ? &*writer : nullptr, result);
@@ -320,8 +312,8 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
   Watchdog watchdog(jobs);
 
   auto worker = [&](std::size_t worker_id) {
-    core::ProtectionSim sim(*netlist_, params_, clock_period_, sim_options,
-                            kernel_context_);
+    core::ProtectionSim sim(*netlist_, params_, clock_period_,
+                            core::ProtectionSimOptions{}, kernel_context_);
     sim::CancelToken token;
     sim.set_cancel_token(&token);
 
@@ -416,8 +408,8 @@ CampaignResult CampaignEngine::run(const set::StrikePlan& plan,
 
   // ---- escape minimization ------------------------------------------
   if (options.minimize_escapes) {
-    core::ProtectionSim sim(*netlist_, params_, clock_period_, sim_options,
-                            kernel_context_);
+    core::ProtectionSim sim(*netlist_, params_, clock_period_,
+                            core::ProtectionSimOptions{}, kernel_context_);
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const StrikeResult& r = result.strikes[i];
       if (!r.completed() || r.status != StrikeStatus::kEscape) continue;

@@ -3,39 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json_escape.hpp"
+
 namespace cwsp::campaign {
 namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Fixed-precision formatting keeps the JSON byte-deterministic.
 std::string num(double v) {

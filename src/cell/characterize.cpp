@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "cell/calibration.hpp"
+#include "common/json_escape.hpp"
 #include "netlist/netlist.hpp"
 #include "spice/transient.hpp"
 
@@ -115,22 +116,6 @@ void characterize_cwsp_arc(const char* name, double wp, double wn,
     }
   }
   report.arcs.push_back(std::move(arc));
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace

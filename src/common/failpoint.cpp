@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_escape.hpp"
 #include "common/metrics.hpp"
 
 namespace cwsp::failpoint {
@@ -55,22 +56,6 @@ const char* kind_name(ActionKind kind) {
       return "abort";
   }
   return "?";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 #include "lint/report.hpp"
 
 namespace cwsp::lint {

@@ -1,7 +1,8 @@
 #include "lint/report.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "common/json_escape.hpp"
 
 namespace cwsp::lint {
 namespace {
@@ -17,39 +18,6 @@ void append_name_array(std::ostringstream& os, const char* key,
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_text(const LintReport& report) {
   std::ostringstream os;

@@ -7,6 +7,7 @@
 
 #include "campaign/campaign.hpp"
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 #include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
@@ -38,30 +39,6 @@ std::string sci(double v) {
 /// JSON has no infinity literal; non-finite values serialise as null.
 std::string sci_json(double v) {
   return std::isfinite(v) ? sci(v) : "null";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 std::vector<const ProtectionScheme*> resolve_schemes(

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 
 namespace cwsp::service::json {
 
@@ -79,7 +80,9 @@ class Value {
 [[nodiscard]] Value parse(const std::string& text);
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes not
-/// included).
-[[nodiscard]] std::string escape(const std::string& text);
+/// included); see cwsp::json_escape.
+[[nodiscard]] inline std::string escape(const std::string& text) {
+  return json_escape(text);
+}
 
 }  // namespace cwsp::service::json

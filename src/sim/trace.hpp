@@ -3,8 +3,8 @@
 //
 // TraceRecorder captures selected nets of a LogicSim run cycle by cycle;
 // write_vcd emits the standard Value Change Dump format any waveform
-// viewer (GTKWave etc.) opens. EventSim's intra-cycle glitch waveforms
-// can be overlaid via add_waveform (timestamps in ps within a cycle).
+// viewer (GTKWave etc.) opens. CompiledEventSim's intra-cycle glitch
+// waveforms can be overlaid via add_waveform (timestamps in ps within a cycle).
 
 #include <iosfwd>
 #include <string>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json_escape.hpp"
 #include "spice/solver.hpp"
 
 namespace cwsp::spice {
@@ -468,22 +469,6 @@ bool solve_dc_ladder(const Circuit& circuit, const TransientOptions& options,
   result.final_voltages = v;
   result.total_newton_iterations = diag.newton_iterations;
   return result;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 void json_number(std::ostringstream& os, double value) {

@@ -1,17 +1,15 @@
 // Differential tests of the compiled simulation kernel against the
-// legacy scalar simulators, over fuzzed netlists: CompiledEventSim must
-// reproduce EventSim bit-for-bit (waveforms, latched values, aperture
-// flags — strike and no-strike), LogicSim64 must agree with LogicSim in
-// every lane, and ProtectionSim must produce identical protocol runs on
-// either kernel. Plus unit tests of the golden-waveform cache.
+// full-netlist EventSim oracle (tests/oracle), over fuzzed netlists:
+// CompiledEventSim must reproduce EventSim bit-for-bit (waveforms,
+// latched values, aperture flags — strike and no-strike). Plus unit
+// tests of the golden-waveform cache.
 
 #include <gtest/gtest.h>
 
-#include "cwsp/protection_sim.hpp"
 #include "netlist_fuzz.hpp"
+#include "oracle/event_sim.hpp"
 #include "set/strike_plan.hpp"
 #include "sim/compiled_kernel.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp {
@@ -41,7 +39,7 @@ class CompiledKernelDifferential
 
 TEST_P(CompiledKernelDifferential, MatchesEventSimWithoutStrike) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  const sim::EventSim legacy(netlist);
+  const sim::EventSim oracle(netlist);
   const sim::CompiledEventSim compiled(netlist);
   Rng rng(GetParam() ^ 0x5117);
 
@@ -50,7 +48,7 @@ TEST_P(CompiledKernelDifferential, MatchesEventSimWithoutStrike) {
     const auto ffs = random_bits(netlist.num_flip_flops(), rng);
     const Picoseconds capture(1200.0 + 100.0 * trial);
     expect_cycles_equal(
-        legacy.simulate_cycle(pis, ffs, capture, std::nullopt),
+        oracle.simulate_cycle(pis, ffs, capture, std::nullopt),
         compiled.simulate_cycle(pis, ffs, capture, std::nullopt),
         "seed " + std::to_string(GetParam()) + " trial " +
             std::to_string(trial));
@@ -59,7 +57,7 @@ TEST_P(CompiledKernelDifferential, MatchesEventSimWithoutStrike) {
 
 TEST_P(CompiledKernelDifferential, MatchesEventSimUnderStrikes) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  const sim::EventSim legacy(netlist);
+  const sim::EventSim oracle(netlist);
   const sim::CompiledEventSim compiled(netlist);
   Rng rng(GetParam() ^ 0xbeef);
 
@@ -76,109 +74,18 @@ TEST_P(CompiledKernelDifferential, MatchesEventSimUnderStrikes) {
     const std::string context = "seed " + std::to_string(GetParam()) +
                                 " struck net " + std::to_string(n);
 
-    expect_cycles_equal(legacy.simulate_cycle(pis, ffs, capture, strike),
+    expect_cycles_equal(oracle.simulate_cycle(pis, ffs, capture, strike),
                         compiled.simulate_cycle(pis, ffs, capture, strike),
                         context);
 
     // Waveform on every net — inside and outside the cone — must match
     // both initial value and the full transition list.
     for (std::size_t m = 0; m < netlist.num_nets(); ++m) {
-      const auto wl = legacy.net_waveform(pis, ffs, strike, NetId{m});
+      const auto wo = oracle.net_waveform(pis, ffs, strike, NetId{m});
       const auto wc = compiled.net_waveform(pis, ffs, strike, NetId{m});
-      ASSERT_EQ(wl.initial(), wc.initial()) << context << " net " << m;
-      ASSERT_EQ(wl.transitions(), wc.transitions()) << context << " net " << m;
+      ASSERT_EQ(wo.initial(), wc.initial()) << context << " net " << m;
+      ASSERT_EQ(wo.transitions(), wc.transitions()) << context << " net " << m;
     }
-  }
-}
-
-TEST_P(CompiledKernelDifferential, LogicSim64LanesMatchScalarLogicSim) {
-  const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  sim::LogicSim64 wide(netlist);
-  Rng rng(GetParam() ^ 0x64);
-
-  // Three clocked steps: lane l of the wide simulator must track an
-  // independent scalar simulation, including FF state evolution.
-  std::vector<sim::LogicSim> scalars;
-  scalars.reserve(8);
-  for (int l = 0; l < 8; ++l) scalars.emplace_back(netlist);
-
-  for (int step = 0; step < 3; ++step) {
-    std::vector<std::vector<bool>> lane_inputs(8);
-    for (int l = 0; l < 8; ++l) {
-      lane_inputs[l] = random_bits(netlist.primary_inputs().size(), rng);
-      for (std::size_t i = 0; i < lane_inputs[l].size(); ++i) {
-        wide.set_input_lane(i, l, lane_inputs[l][i]);
-      }
-      scalars[l].set_inputs(lane_inputs[l]);
-    }
-    wide.evaluate();
-    for (int l = 0; l < 8; ++l) scalars[l].evaluate();
-
-    for (int l = 0; l < 8; ++l) {
-      for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-        ASSERT_EQ(wide.value(NetId{n}, l), scalars[l].value(NetId{n}))
-            << "seed " << GetParam() << " step " << step << " lane " << l
-            << " net " << n;
-      }
-      for (std::size_t k = 0; k < netlist.primary_outputs().size(); ++k) {
-        EXPECT_EQ((wide.output_word(k) >> l) & 1u,
-                  scalars[l].output_values()[k] ? 1u : 0u);
-      }
-    }
-    wide.clock();
-    for (int l = 0; l < 8; ++l) scalars[l].clock();
-    for (int l = 0; l < 8; ++l) {
-      for (std::size_t f = 0; f < netlist.num_flip_flops(); ++f) {
-        EXPECT_EQ((wide.ff_word(f) >> l) & 1u,
-                  scalars[l].ff_state()[f] ? 1u : 0u);
-      }
-    }
-  }
-}
-
-TEST_P(CompiledKernelDifferential, ProtectionRunsIdenticalOnEitherKernel) {
-  testing::FuzzOptions fuzz;
-  fuzz.num_flip_flops = 3;
-  const auto netlist = testing::make_random_netlist(lib_, GetParam(), fuzz);
-  const auto params = core::ProtectionParams::q100();
-  const Picoseconds period(2400.0);
-
-  core::ProtectionSimOptions legacy_opts;
-  legacy_opts.use_compiled_kernel = false;
-  core::ProtectionSimOptions compiled_opts;
-  compiled_opts.use_compiled_kernel = true;
-  const core::ProtectionSim legacy(netlist, params, period, legacy_opts);
-  const core::ProtectionSim compiled(netlist, params, period, compiled_opts);
-
-  Rng rng(GetParam() ^ 0xc0de);
-  const auto sites = set::strike_sites(netlist);
-  for (int trial = 0; trial < 4; ++trial) {
-    std::vector<std::vector<bool>> inputs(6);
-    for (auto& vec : inputs) {
-      vec = random_bits(netlist.primary_inputs().size(), rng);
-    }
-    core::ScheduledStrike strike;
-    strike.cycle = rng.next_below(inputs.size());
-    strike.target = core::StrikeTarget::kFunctional;
-    strike.strike.node = sites[rng.next_below(sites.size())];
-    strike.strike.start = Picoseconds(rng.next_double_in(0.0, period.value()));
-    strike.strike.width = Picoseconds(rng.next_double_in(50.0, 500.0));
-
-    const auto rl = legacy.run(inputs, {strike});
-    const auto rc = compiled.run(inputs, {strike});
-    EXPECT_EQ(rl.bubbles, rc.bubbles);
-    EXPECT_EQ(rl.detected_errors, rc.detected_errors);
-    EXPECT_EQ(rl.spurious_recomputes, rc.spurious_recomputes);
-    EXPECT_EQ(rl.silent_corruptions, rc.silent_corruptions);
-    EXPECT_EQ(rl.livelocked, rc.livelocked);
-    EXPECT_EQ(rl.total_cycles, rc.total_cycles);
-    EXPECT_EQ(rl.golden_outputs, rc.golden_outputs);
-    EXPECT_EQ(rl.committed_outputs, rc.committed_outputs);
-
-    const auto ul = legacy.run_unprotected(inputs, {strike});
-    const auto uc = compiled.run_unprotected(inputs, {strike});
-    EXPECT_EQ(ul.corrupted_cycles, uc.corrupted_cycles);
-    EXPECT_EQ(ul.outputs, uc.outputs);
   }
 }
 

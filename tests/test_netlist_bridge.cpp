@@ -1,5 +1,5 @@
 // Cross-layer validation: the same structure simulated at transistor
-// level (MiniSpice) and at gate level (EventSim) must agree on logic
+// level (MiniSpice) and at gate level (CompiledEventSim) must agree on logic
 // values and, to first order, on propagated SET glitch widths.
 
 #include "spice/netlist_bridge.hpp"
@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_parser.hpp"
-#include "sim/event_sim.hpp"
+#include "sim/compiled_kernel.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp::spice {
@@ -91,7 +91,7 @@ y  = NOT(t2)
   ASSERT_TRUE(electrical_width.has_value());
 
   // --- gate level ---------------------------------------------------------
-  sim::EventSim esim(netlist);
+  const sim::CompiledEventSim esim(netlist);
   set::Strike strike;
   strike.node = *netlist.find_net("t1");
   strike.start = Picoseconds(100.0);

@@ -1,10 +1,11 @@
 // Property-based cross-checks between the zero-delay golden simulator and
-// the event-driven timing simulator, over randomly generated netlists.
+// the compiled event-driven timing kernel, over randomly generated
+// netlists.
 
 #include <gtest/gtest.h>
 
 #include "netlist_fuzz.hpp"
-#include "sim/event_sim.hpp"
+#include "sim/compiled_kernel.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace cwsp {
@@ -18,7 +19,7 @@ class SimEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(SimEquivalence, EventSimSettledValuesMatchLogicSim) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
   sim::LogicSim logic(netlist);
-  sim::EventSim event(netlist);
+  const sim::CompiledEventSim event(netlist);
   Rng rng(GetParam() ^ 0xabcdef);
 
   for (int trial = 0; trial < 8; ++trial) {
@@ -51,7 +52,7 @@ TEST_P(SimEquivalence, EventSimSettledValuesMatchLogicSim) {
 
 TEST_P(SimEquivalence, StrikeNeverChangesSettledValues) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  sim::EventSim event(netlist);
+  const sim::CompiledEventSim event(netlist);
   Rng rng(GetParam() ^ 0x5555);
   const auto sites = set::strike_sites(netlist);
 
@@ -81,7 +82,7 @@ TEST_P(SimEquivalence, StrikeOutsideSensitizedConeIsMasked) {
   // A strike whose glitch is reported at no endpoint must not corrupt any
   // capture regardless of the capture time.
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
-  sim::EventSim event(netlist);
+  const sim::CompiledEventSim event(netlist);
   Rng rng(GetParam() ^ 0x77);
   const auto sites = set::strike_sites(netlist);
 

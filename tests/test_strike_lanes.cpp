@@ -5,9 +5,9 @@
 //
 //   * WideLogicSim at every supported lane width (64/256/512 — portable
 //     or vectorized, whatever this build dispatches) against the scalar
-//     LogicSim lane by lane, and its flip sweeps against LogicSim64
-//     subword by subword, over fuzzed netlists and the embedded ISCAS
-//     circuits;
+//     LogicSim lane by lane, and its flip sweeps against a scalar
+//     topological evaluation with the site inverted, over fuzzed
+//     netlists and the embedded ISCAS circuits;
 //   * the campaign engine's lane path against the scalar ProtectionSim
 //     worker pool: identical plans produce byte-identical JSON reports
 //     at every lane width and jobs value, including edge batches
@@ -39,6 +39,46 @@ std::vector<bool> random_bits(std::size_t n, Rng& rng) {
   std::vector<bool> bits(n);
   for (std::size_t i = 0; i < n; ++i) bits[i] = rng.next_bool();
   return bits;
+}
+
+/// Scalar flip-sweep oracle: settles one (input, state) vector in
+/// topological order with `site` inverted where it is driven (an invalid
+/// site flips nothing). XOR against the unflipped values is the lane
+/// diff WideLogicSim::flip_diff_word reports.
+std::vector<bool> settle_with_flip(const Netlist& netlist,
+                                   const std::vector<bool>& inputs,
+                                   const std::vector<bool>& state,
+                                   NetId site) {
+  std::vector<bool> value(netlist.num_nets(), false);
+  for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
+    const Net& net = netlist.net(NetId{n});
+    switch (net.driver_kind) {
+      case DriverKind::kPrimaryInput:
+        value[n] = inputs[net.driver_index];
+        break;
+      case DriverKind::kFlipFlop:
+        value[n] = state[net.driver_index];
+        break;
+      case DriverKind::kConstant:
+        value[n] = net.constant_value;
+        break;
+      default:
+        break;
+    }
+  }
+  if (site.valid() && netlist.net(site).driver_kind != DriverKind::kGate) {
+    value[site.index()] = !value[site.index()];
+  }
+  for (GateId g : netlist.topological_order()) {
+    const Gate& gate = netlist.gate(g);
+    unsigned bits = 0;
+    for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+      if (value[gate.inputs[i].index()]) bits |= 1u << i;
+    }
+    value[gate.output.index()] = netlist.cell_of(g).evaluate(bits);
+    if (gate.output == site) value[site.index()] = !value[site.index()];
+  }
+  return value;
 }
 
 // ---------------------------------------------------------- WideLogicSim
@@ -88,21 +128,19 @@ TEST_P(WideLogicSimDifferential, EveryWidthTracksScalarLogicSimPerLane) {
   }
 }
 
-TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
+TEST_P(WideLogicSimDifferential, FlipSweepsMatchScalarFlipPerLane) {
   const auto netlist = testing::make_random_netlist(lib_, GetParam());
   const auto context = sim::CompiledKernelContext::build(netlist);
   const std::size_t npi = netlist.primary_inputs().size();
   const std::size_t nff = netlist.num_flip_flops();
 
   for (std::size_t width : sim::WideLogicSim::supported_lane_widths()) {
-    const std::size_t words = width / 64;
     sim::WideLogicSim wide(context->view, width);
-    sim::LogicSim64 narrow(context->view);
     Rng rng(GetParam() ^ (width << 8));
 
-    // One wide batch == `words` independent 64-lane batches.
     std::vector<std::vector<bool>> lane_inputs(width);
     std::vector<std::vector<bool>> lane_state(width);
+    std::vector<std::vector<bool>> lane_base(width);
     for (std::size_t l = 0; l < width; ++l) {
       lane_inputs[l] = random_bits(npi, rng);
       lane_state[l] = random_bits(nff, rng);
@@ -112,29 +150,22 @@ TEST_P(WideLogicSimDifferential, FlipSweepsMatchLogicSim64PerSubword) {
       for (std::size_t f = 0; f < nff; ++f) {
         wide.set_ff_lane(f, l, lane_state[l][f]);
       }
+      lane_base[l] = settle_with_flip(netlist, lane_inputs[l], lane_state[l],
+                                      NetId{});
     }
     wide.evaluate();
 
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::size_t l = 0; l < 64; ++l) {
-        const std::size_t src = w * 64 + l;
-        for (std::size_t i = 0; i < npi; ++i) {
-          narrow.set_input_lane(i, l, lane_inputs[src][i]);
-        }
-        for (std::size_t f = 0; f < nff; ++f) {
-          narrow.set_ff_lane(f, l, lane_state[src][f]);
-        }
-      }
-      narrow.evaluate();
-
-      for (std::size_t site = 0; site < netlist.num_nets(); ++site) {
-        wide.evaluate_with_flip(NetId{site});
-        narrow.evaluate_with_flip(NetId{site});
+    for (std::size_t site = 0; site < netlist.num_nets(); ++site) {
+      wide.evaluate_with_flip(NetId{site});
+      for (std::size_t l = 0; l < width; ++l) {
+        const auto flipped = settle_with_flip(netlist, lane_inputs[l],
+                                              lane_state[l], NetId{site});
         for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-          ASSERT_EQ(wide.flip_diff_word(NetId{n}, w),
-                    narrow.flip_diff(NetId{n}))
-              << "seed " << GetParam() << " width " << width << " subword "
-              << w << " site " << site << " net " << n;
+          const bool diff =
+              ((wide.flip_diff_word(NetId{n}, l / 64) >> (l % 64)) & 1u) != 0;
+          ASSERT_EQ(diff, flipped[n] != lane_base[l][n])
+              << "seed " << GetParam() << " width " << width << " site "
+              << site << " net " << n << " lane " << l;
         }
       }
     }
